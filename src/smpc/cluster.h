@@ -39,17 +39,6 @@ struct SmpcConfig {
   /// throughput on each link.
   double round_latency_ms = 2.0;
   double bandwidth_mbps = 100.0;
-  /// Batched kernels (field_vec) vs the scalar reference loops. Both paths
-  /// produce bit-identical shares, MACs and openings for the same seed (the
-  /// property tests pin this); the flag exists for the ablation benchmarks.
-  bool use_batched_kernels = true;
-  /// Optional morsel-parallelism for the batched kernels over large
-  /// vectors. Not owned; null runs single-threaded. Thread count never
-  /// changes results (deterministic chunking).
-  ThreadPool* pool = nullptr;
-  /// Elements per columnar wire block for share distribution (0 = one
-  /// block per column).
-  size_t wire_block_elems = 4096;
 };
 
 /// Communication/computation accounting for one cluster (reset-able). The
@@ -89,8 +78,7 @@ struct SmpcCostStats {
 /// per-node share storage, explicit openings, MAC checks (FT), resharing
 /// rounds (Shamir), and byte/round accounting on every exchange. Share
 /// storage is SoA (SpdzMatrix / per-node limb vectors) so the batched
-/// field_vec kernels operate on contiguous spans; the scalar reference path
-/// reads the same storage through per-element accessors.
+/// field_vec kernels operate on contiguous spans.
 class SmpcCluster {
  public:
   explicit SmpcCluster(SmpcConfig config);
@@ -98,10 +86,12 @@ class SmpcCluster {
   const SmpcConfig& config() const { return config_; }
 
   /// Installs (or clears) the thread pool used for morsel-parallel batched
-  /// kernels. Safe to call between operations; never changes results.
+  /// kernels over large vectors. Not owned; null (the default) runs
+  /// single-threaded. Safe to call between operations; thread count never
+  /// changes results (deterministic chunking).
   void set_pool(ThreadPool* pool) {
     std::lock_guard<std::mutex> lock(mu_);
-    config_.pool = pool;
+    pool_ = pool;
   }
 
   /// Runs the offline phase: pre-generates Beaver triples (full threshold
@@ -159,7 +149,7 @@ class SmpcCluster {
     std::vector<std::vector<std::vector<uint64_t>>> contributions;
   };
 
-  VecExec Exec() const { return {config_.pool, 16384}; }
+  VecExec Exec() const { return {pool_, 16384}; }
 
   Status ComputeFt(const std::string& job_id, SmpcOp op,
                    const NoiseSpec& noise);
@@ -167,14 +157,9 @@ class SmpcCluster {
                        const NoiseSpec& noise);
 
   // Secure elementwise min/max over two FT sharings via the blinded-sign
-  // comparison protocol (leaks only the comparison outcome). Scalar
-  // reference: one comparison round per element.
-  Result<SpdzMatrix> MinMaxFt(const SpdzMatrix& x, const SpdzMatrix& y,
-                              bool want_min);
-  // Batched variant: one comparison round per contribution (all elements'
-  // blinded differences open together). Blinding factors are drawn in bulk,
-  // so the Rng transcript differs from the scalar path, but the selection
-  // (sign of d) — and therefore the result — is identical.
+  // comparison protocol (leaks only the comparison outcome): all elements'
+  // blinded differences open together, one comparison round per
+  // contribution.
   Result<SpdzMatrix> MinMaxFtVec(const SpdzMatrix& x, const SpdzMatrix& y,
                                  bool want_min);
 
@@ -192,6 +177,7 @@ class SmpcCluster {
   /// sequential ones.
   mutable std::mutex mu_;
   SmpcConfig config_;
+  ThreadPool* pool_ = nullptr;
   Rng rng_;
   FixedPointCodec codec_;
   SpdzDealer dealer_;

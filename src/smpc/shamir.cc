@@ -18,6 +18,27 @@ uint64_t EvalPoly(const std::vector<uint64_t>& coeffs, uint64_t x) {
   return acc;
 }
 
+// Precondition of both multiplications: 2t < n, one share vector per party
+// on each side, and equal lengths across parties and sides (the elementwise
+// product would otherwise read past the shorter vector).
+Status CheckMultiplyArgs(int threshold, int num_parties,
+                         const std::vector<std::vector<uint64_t>>& x,
+                         const std::vector<std::vector<uint64_t>>& y) {
+  if (2 * threshold >= num_parties) {
+    return Status::SecurityError(
+        "Shamir multiplication requires 2t < n (degree reduction)");
+  }
+  if (x.size() != static_cast<size_t>(num_parties) || x.size() != y.size()) {
+    return Status::InvalidArgument("party count mismatch");
+  }
+  for (size_t p = 0; p < x.size(); ++p) {
+    if (x[p].size() != x[0].size() || y[p].size() != x[0].size()) {
+      return Status::InvalidArgument("share vector length mismatch");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 ShamirScheme::ShamirScheme(int threshold, int num_parties)
@@ -179,13 +200,7 @@ Result<std::vector<uint64_t>> ShamirScheme::ReconstructVectorBatch(
 Result<std::vector<std::vector<uint64_t>>> ShamirScheme::MultiplyReshare(
     const std::vector<std::vector<uint64_t>>& x,
     const std::vector<std::vector<uint64_t>>& y, Rng* rng) const {
-  if (2 * threshold_ >= num_parties_) {
-    return Status::SecurityError(
-        "Shamir multiplication requires 2t < n (degree reduction)");
-  }
-  if (x.size() != static_cast<size_t>(num_parties_) || x.size() != y.size()) {
-    return Status::InvalidArgument("party count mismatch");
-  }
+  MIP_RETURN_NOT_OK(CheckMultiplyArgs(threshold_, num_parties_, x, y));
   const size_t n_elems = x[0].size();
   // Each party computes its local product share (degree 2t polynomial
   // evaluation) and re-shares it with a fresh degree-t polynomial; the new
@@ -216,13 +231,7 @@ Result<std::vector<std::vector<uint64_t>>> ShamirScheme::MultiplyReshareBatch(
     const std::vector<std::vector<uint64_t>>& x,
     const std::vector<std::vector<uint64_t>>& y, Rng* rng,
     const VecExec& exec) const {
-  if (2 * threshold_ >= num_parties_) {
-    return Status::SecurityError(
-        "Shamir multiplication requires 2t < n (degree reduction)");
-  }
-  if (x.size() != static_cast<size_t>(num_parties_) || x.size() != y.size()) {
-    return Status::InvalidArgument("party count mismatch");
-  }
+  MIP_RETURN_NOT_OK(CheckMultiplyArgs(threshold_, num_parties_, x, y));
   const size_t n = x[0].size();
   const size_t np = static_cast<size_t>(num_parties_);
   const size_t t = static_cast<size_t>(threshold_);

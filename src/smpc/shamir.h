@@ -60,7 +60,9 @@ class ShamirScheme {
   /// Degree reduction after a local share product: each party re-shares its
   /// local product share, and the new shares are recombined with Lagrange
   /// weights — the classic BGW multiplication step (one communication
-  /// round). Input/output are party-major matrices of share vectors.
+  /// round). Input/output are party-major matrices of share vectors; every
+  /// party's x and y vectors must have one common length (InvalidArgument
+  /// otherwise).
   Result<std::vector<std::vector<uint64_t>>> MultiplyReshare(
       const std::vector<std::vector<uint64_t>>& x,
       const std::vector<std::vector<uint64_t>>& y, Rng* rng) const;

@@ -22,17 +22,6 @@ SpdzMatrix ToMatrix(const SpdzSharedVector& shares) {
   return m;
 }
 
-SpdzSharedVector ToShared(const SpdzMatrix& m) {
-  SpdzSharedVector shares(m.size());
-  for (size_t p = 0; p < m.size(); ++p) {
-    shares[p].resize(m[p].size());
-    for (size_t e = 0; e < m[p].size(); ++e) {
-      shares[p][e] = {m[p].values[e], m[p].macs[e]};
-    }
-  }
-  return shares;
-}
-
 namespace {
 
 /// Fused triple-generation kernel: one pass over the morsel's random words
@@ -310,7 +299,10 @@ void SpdzDealer::GenerateTriplesInto(SpdzTripleBlock* blk, size_t count,
   size_t filled = 0;    // blocks drawn by the producer
   size_t consumed = 0;  // blocks fused by this thread
   if (pipelined) {
-    exec.pool->Submit([&, count] {
+    // The last handoff lets this function return and destroy `mu`, `cv`
+    // and the other locals, so the producer notifies while holding `mu`
+    // and reads only its by-value captures once that lock is released.
+    exec.pool->Submit([&, count, nblocks] {
       for (size_t k = 0; k < nblocks; ++k) {
         const size_t len = std::min(kBlock, count - k * kBlock);
         {
@@ -318,10 +310,8 @@ void SpdzDealer::GenerateTriplesInto(SpdzTripleBlock* blk, size_t count,
           cv.wait(lock, [&] { return k < consumed + 2; });
         }
         Field::RandomVec(rand[k % 2].data(), len * stride, &rng_);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          filled = k + 1;
-        }
+        std::lock_guard<std::mutex> lock(mu);
+        filled = k + 1;
         cv.notify_all();
       }
     });
@@ -464,11 +454,6 @@ SpdzTripleBlock SpdzDealer::TakeTriples(size_t count, const VecExec& exec) {
     }
   }
   return out;
-}
-
-std::vector<SpdzShare> SpdzDealer::SharePositiveRandom(int bits) {
-  const uint64_t r = 1 + rng_.NextBounded((1ull << bits) - 1);
-  return ShareValue(r);
 }
 
 SpdzMatrix SpdzDealer::SharePositiveRandomVec(int bits, size_t n,

@@ -465,21 +465,20 @@ TEST(ShamirBatchParity, MultiplyReshareBatchAndReconstructMatchScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster-level parity: batched vs scalar mode must produce bit-identical
-// opened results for the same seed, at 1 and 8 threads. The vectors are
-// larger than one morsel grain so the 8-thread run genuinely chunks.
+// Cluster-level thread-count parity: the same seed must open bit-identical
+// results on 1 and 8 threads. The vectors are larger than one morsel grain
+// (and, for the triple-consuming FT ops, than two dealer blocks) so the
+// 8-thread run genuinely chunks and pipelines.
 // ---------------------------------------------------------------------------
 
-std::vector<double> RunCluster(SmpcScheme scheme, SmpcOp op, bool batched,
-                               ThreadPool* pool, size_t n,
-                               int contributions) {
+std::vector<double> RunCluster(SmpcScheme scheme, SmpcOp op, ThreadPool* pool,
+                               size_t n, int contributions) {
   SmpcConfig config;
   config.scheme = scheme;
   config.num_nodes = 3;
   config.threshold = 1;
-  config.use_batched_kernels = batched;
-  config.pool = pool;
   SmpcCluster cluster(config);
+  cluster.set_pool(pool);
   if (scheme == SmpcScheme::kFullThreshold && op == SmpcOp::kProduct) {
     cluster.PrecomputeTriples(n * static_cast<size_t>(contributions));
   }
@@ -494,33 +493,27 @@ std::vector<double> RunCluster(SmpcScheme scheme, SmpcOp op, bool batched,
 }
 
 using ParityParam = std::tuple<SmpcScheme, SmpcOp>;
-class ClusterModeParity : public ::testing::TestWithParam<ParityParam> {};
+class ClusterThreadParity : public ::testing::TestWithParam<ParityParam> {};
 
-TEST_P(ClusterModeParity, BatchedEqualsScalarAt1And8Threads) {
+TEST_P(ClusterThreadParity, OneAndEightThreadsBitIdentical) {
   const auto [scheme, op] = GetParam();
-  // kSum exercises the >grain morsel split; the multiplication-heavy ops
-  // use a smaller n to keep the scalar reference fast.
-  const size_t n = op == SmpcOp::kSum ? 40000 : 96;
+  const size_t n = 40000;
   const int contributions = 3;
-  const std::vector<double> scalar =
-      RunCluster(scheme, op, /*batched=*/false, nullptr, n, contributions);
-  const std::vector<double> batched1 =
-      RunCluster(scheme, op, /*batched=*/true, nullptr, n, contributions);
+  const std::vector<double> serial =
+      RunCluster(scheme, op, nullptr, n, contributions);
   ThreadPool pool(8);
-  const std::vector<double> batched8 =
-      RunCluster(scheme, op, /*batched=*/true, &pool, n, contributions);
-  // Bit-identical, not approximately equal: the batched kernels reproduce
-  // the scalar limbs exactly, so the decoded doubles match bit for bit.
-  ASSERT_EQ(batched1.size(), scalar.size());
-  ASSERT_EQ(batched8.size(), scalar.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(batched1[i], scalar[i]) << "1-thread element " << i;
-    EXPECT_EQ(batched8[i], scalar[i]) << "8-thread element " << i;
+  const std::vector<double> parallel =
+      RunCluster(scheme, op, &pool, n, contributions);
+  // Bit-identical, not approximately equal: deterministic chunking keeps
+  // every limb, so the decoded doubles match bit for bit.
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(parallel[i], serial[i]) << "element " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SchemesAndOps, ClusterModeParity,
+    SchemesAndOps, ClusterThreadParity,
     ::testing::Values(ParityParam{SmpcScheme::kFullThreshold, SmpcOp::kSum},
                       ParityParam{SmpcScheme::kFullThreshold,
                                   SmpcOp::kProduct},
@@ -534,7 +527,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ClusterBatchedTamper, BatchedMacCheckStillAborts) {
   SmpcConfig config;
   config.scheme = SmpcScheme::kFullThreshold;
-  config.use_batched_kernels = true;
   SmpcCluster cluster(config);
   std::vector<double> v = {1.5, -2.25, 3.0, 4.75};
   ASSERT_TRUE(cluster.ImportShares("t", v).ok());

@@ -272,6 +272,23 @@ TEST(ShamirTest, MultiplyNeedsLowDegree) {
   EXPECT_FALSE(tight.MultiplyReshare(a, a, &rng).ok());
 }
 
+TEST(ShamirTest, MultiplyRejectsMismatchedShareLengths) {
+  ShamirScheme scheme(1, 3);
+  Rng rng(20);
+  std::vector<std::vector<uint64_t>> x(3, std::vector<uint64_t>(4, 1));
+  std::vector<std::vector<uint64_t>> short_y(3, std::vector<uint64_t>(2, 1));
+  std::vector<std::vector<uint64_t>> ragged_y = x;
+  ragged_y[2].pop_back();  // one party's share vector is short
+  for (const auto& y : {short_y, ragged_y}) {
+    const auto scalar = scheme.MultiplyReshare(x, y, &rng);
+    ASSERT_FALSE(scalar.ok());
+    EXPECT_EQ(scalar.status().code(), StatusCode::kInvalidArgument);
+    const auto batch = scheme.MultiplyReshareBatch(x, y, &rng);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // --- Distributed noise -------------------------------------------------------
 
 TEST(NoiseTest, DistributedGaussianHasTargetVariance) {
@@ -422,6 +439,25 @@ TEST_P(ClusterBothSchemes, CostStatsAccumulate) {
   EXPECT_GT(cluster.stats().SimulatedNetworkSeconds(cluster.config()), 0.0);
   cluster.ResetStats();
   EXPECT_EQ(cluster.stats().bytes_transferred, 0u);
+}
+
+TEST_P(ClusterBothSchemes, MismatchedLengthsRejectedForElementwiseOps) {
+  SmpcCluster cluster(Config());
+  for (SmpcOp op :
+       {SmpcOp::kSum, SmpcOp::kProduct, SmpcOp::kMin, SmpcOp::kMax}) {
+    const std::string job = "e" + std::to_string(static_cast<int>(op));
+    ASSERT_TRUE(cluster.ImportShares(job, {1.0, 2.0, 3.0}).ok());
+    ASSERT_TRUE(cluster.ImportShares(job, {4.0}).ok());
+    const Status st = cluster.Compute(job, op);
+    ASSERT_FALSE(st.ok()) << "op " << static_cast<int>(op);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "op " << static_cast<int>(op);
+  }
+  // Union concatenates, so unequal lengths are fine.
+  ASSERT_TRUE(cluster.ImportShares("u", {1.0, 2.0, 3.0}).ok());
+  ASSERT_TRUE(cluster.ImportShares("u", {4.0}).ok());
+  ASSERT_TRUE(cluster.Compute("u", SmpcOp::kUnion).ok());
+  EXPECT_EQ(cluster.GetResult("u")->size(), 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, ClusterBothSchemes,
